@@ -30,11 +30,13 @@ snapshot:
 	$(GO) run ./cmd/benchtab -json BENCH_new.json
 
 # Regression guard: regenerate a snapshot (schema 5) and diff it against the
-# newest committed BENCH_N.json. Fails on >10% ns/op regressions, any new
-# hot-path allocation, (on hosts with >= 4 cpus) a sub-1.8x parallel speedup
-# or a sharded pump (multicore decode / egress workers) falling behind the
-# single pump, a >10% packets/sec drop on any macro shared with the baseline,
-# or allocs/datagram growth on macros that carry the meta in both snapshots.
+# newest committed BENCH_N.json. Fails on >10% ns/op regressions, (on hosts
+# with >= 4 cpus) a sub-1.8x parallel speedup or a sharded pump (multicore
+# decode / egress workers) falling behind the single pump, or a >10%
+# packets/sec drop on any macro shared with the baseline. The alloc gates
+# ratchet over every committed BENCH_*.json: allocs/op may not exceed the
+# lowest committed value, nor allocs/datagram the lowest committed value
+# plus 0.5.
 BENCH_BASE ?= $(lastword $(sort $(wildcard BENCH_[0-9]*.json)))
 benchdiff:
 	$(GO) run ./cmd/benchtab -pps -json BENCH_new.json > /dev/null

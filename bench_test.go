@@ -149,6 +149,49 @@ func TestShardedCounterAddAllocBudget(t *testing.T) {
 	}
 }
 
+// TestSROWriteAllocBudget: an SRO write submission in the shape of
+// BenchmarkSROWriteCommit (fresh literal value, fresh done closure) costs one
+// allocation, the caller's done closure. The value must not escape on its
+// way to the replication backend: a second allocation here means it leaks
+// through the chain.Replicator interface again.
+func TestSROWriteAllocBudget(t *testing.T) {
+	for _, rtx := range []bool{false, true} {
+		c, _ := swishmem.New(swishmem.Config{Switches: 3, Seed: 1})
+		regs, err := c.DeclareStrong("b", swishmem.StrongOptions{Capacity: 1024, ValueWidth: 8, Retransmit: rtx})
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.RunFor(2 * time.Millisecond)
+		committed := 0
+		write := func(key uint64) {
+			regs[0].Write(key, []byte("12345678"), func(ok bool) {
+				if ok {
+					committed++
+				}
+			})
+		}
+		// Warm the outstanding-record pool and the control-plane queue past
+		// the measured run's depth; the commits drain off the measurement,
+		// as in the benchmark.
+		for i := 0; i < 2048; i++ {
+			write(uint64(i % 64))
+		}
+		c.RunFor(100 * time.Millisecond)
+		key := uint64(0)
+		allocs := testing.AllocsPerRun(1000, func() {
+			key = (key + 1) % 64
+			write(key)
+		})
+		c.RunFor(100 * time.Millisecond)
+		if allocs > 1 {
+			t.Fatalf("retransmit=%v: SRO write submission allocates %v per op, want <= 1", rtx, allocs)
+		}
+		if committed == 0 {
+			t.Fatalf("retransmit=%v: no writes committed", rtx)
+		}
+	}
+}
+
 // TestEventSchedulingAllocBudget: scheduling and running a pooled simulator
 // event allocates nothing once the free list is warm.
 func TestEventSchedulingAllocBudget(t *testing.T) {

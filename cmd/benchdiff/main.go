@@ -12,9 +12,12 @@
 //  1. Every microbenchmark present in the baseline must be present in the
 //     new snapshot (a vanished benchmark hides a regression).
 //  2. ns/op must not regress by more than -tolerance (default 10%).
-//  3. allocs/op must not increase at all — the pooled hot paths are
-//     zero-alloc by design, and a single new allocation per op is a real
-//     regression, not noise.
+//  3. allocs/op must not exceed the lowest value any committed snapshot
+//     recorded (-base and every BENCH_N.json next to it) — the pooled hot
+//     paths are zero-alloc by design, and a single new allocation per op is
+//     a real regression, not noise. Gating against the minimum makes the
+//     gate a ratchet: a regression written into the newest snapshot does
+//     not become the baseline.
 //  4. When the generating machine can overlap shards (cpus >= 4 in the new
 //     snapshot), the parallel-scaling experiment must report a speedup of
 //     at least -minspeedup (default 1.8) at 4 shards. On smaller hosts the
@@ -26,8 +29,9 @@
 //     both sharded live pumps — multicore decode and sharded egress — must
 //     hold -minppsscale of the single-pump rate (self-disabling on smaller
 //     hosts, mirroring check 4).
-//  6. A macro carrying allocs_per_datagram meta in both snapshots must not
-//     grow it by more than 0.5: the batched receive path decodes into
+//  6. A macro carrying allocs_per_datagram meta must not grow it by more
+//     than 0.5 over the lowest value any committed snapshot recorded for it
+//     (same ratchet as check 3): the batched receive path decodes into
 //     pooled view sets and is zero-alloc by design.
 //
 // Wall times of whole experiments are reported but never gated — they vary
@@ -41,6 +45,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"path/filepath"
 )
 
 // micro mirrors cmd/benchtab's microResult.
@@ -140,30 +145,46 @@ func sectionRows[T any](path string, sections map[string]json.RawMessage, name s
 	return out
 }
 
+// options are benchdiff's flags.
+type options struct {
+	base, fresh           string
+	tolerance, minSpeedup float64
+	ppsTol, minPPS        float64
+}
+
 func main() {
-	var (
-		basePath   = flag.String("base", "", "committed baseline snapshot (required)")
-		newPath    = flag.String("new", "", "freshly generated snapshot (required)")
-		tolerance  = flag.Float64("tolerance", 0.10, "allowed fractional ns/op regression per microbenchmark")
-		minSpeedup = flag.Float64("minspeedup", 1.8, "required parallel speedup at 4 shards (checked only when cpus >= 4)")
-		ppsTol     = flag.Float64("ppstolerance", 0.10, "allowed fractional packets/sec drop per -pps macro")
-		minPPS     = flag.Float64("minppsscale", 0.9, "required multicore/single pps ratio for the sharded pump (checked only when cpus >= 4)")
-	)
+	var o options
+	flag.StringVar(&o.base, "base", "", "committed baseline snapshot (required)")
+	flag.StringVar(&o.fresh, "new", "", "freshly generated snapshot (required)")
+	flag.Float64Var(&o.tolerance, "tolerance", 0.10, "allowed fractional ns/op regression per microbenchmark")
+	flag.Float64Var(&o.minSpeedup, "minspeedup", 1.8, "required parallel speedup at 4 shards (checked only when cpus >= 4)")
+	flag.Float64Var(&o.ppsTol, "ppstolerance", 0.10, "allowed fractional packets/sec drop per -pps macro")
+	flag.Float64Var(&o.minPPS, "minppsscale", 0.9, "required multicore/single pps ratio for the sharded pump (checked only when cpus >= 4)")
 	flag.Parse()
-	if *basePath == "" || *newPath == "" {
+	if o.base == "" || o.fresh == "" {
 		fmt.Fprintln(os.Stderr, "benchdiff: -base and -new are required")
 		flag.Usage()
 		os.Exit(2)
 	}
-	base, err := load(*basePath)
+	os.Exit(run(o))
+}
+
+// run performs every check and returns the exit status.
+func run(o options) int {
+	base, err := load(o.base)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "benchdiff: %v\n", err)
-		os.Exit(2)
+		return 2
 	}
-	fresh, err := load(*newPath)
+	fresh, err := load(o.fresh)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "benchdiff: %v\n", err)
-		os.Exit(2)
+		return 2
+	}
+	floors, err := loadFloors(o.base, base)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "benchdiff: %v\n", err)
+		return 2
 	}
 
 	failures := 0
@@ -179,28 +200,29 @@ func main() {
 	for _, b := range base.Micro {
 		n, ok := newMicros[b.Name]
 		if !ok {
-			fail("%s: present in %s but missing from %s", b.Name, *basePath, *newPath)
+			fail("%s: present in %s but missing from %s", b.Name, o.base, o.fresh)
 			continue
 		}
 		ratio := 0.0
 		if b.NsPerOp > 0 {
 			ratio = n.NsPerOp/b.NsPerOp - 1
 		}
+		fl := floors.micro[b.Name]
 		switch {
-		case ratio > *tolerance:
+		case ratio > o.tolerance:
 			fail("%s: %.1f ns/op -> %.1f ns/op (%+.1f%%, tolerance %.0f%%)",
-				b.Name, b.NsPerOp, n.NsPerOp, 100*ratio, 100**tolerance)
-		case n.AllocsPerOp > b.AllocsPerOp:
-			fail("%s: allocs/op grew %d -> %d (hot paths must not add allocations)",
-				b.Name, b.AllocsPerOp, n.AllocsPerOp)
+				b.Name, b.NsPerOp, n.NsPerOp, 100*ratio, 100*o.tolerance)
+		case float64(n.AllocsPerOp) > fl.v:
+			fail("%s: %d allocs/op, above the %v recorded in %s (hot paths must not add allocations)",
+				b.Name, n.AllocsPerOp, fl.v, fl.src)
 		default:
 			fmt.Printf("ok    %s: %.1f ns/op (%+.1f%%), %d allocs/op\n",
 				b.Name, n.NsPerOp, 100*ratio, n.AllocsPerOp)
 		}
 	}
 
-	checkSpeedup(fresh, *minSpeedup, fail)
-	checkPPS(base, fresh, *ppsTol, *minPPS, fail)
+	checkSpeedup(fresh, o.minSpeedup, fail)
+	checkPPS(base, fresh, floors, o.ppsTol, o.minPPS, fail)
 
 	var baseWall, newWall float64
 	for _, e := range base.Experiments {
@@ -213,10 +235,62 @@ func main() {
 		baseWall, newWall)
 
 	if failures > 0 {
-		fmt.Printf("benchdiff: %d regression(s) vs %s\n", failures, *basePath)
-		os.Exit(1)
+		fmt.Printf("benchdiff: %d regression(s) vs %s\n", failures, o.base)
+		return 1
 	}
-	fmt.Printf("benchdiff: no regressions vs %s\n", *basePath)
+	fmt.Printf("benchdiff: no regressions vs %s\n", o.base)
+	return 0
+}
+
+// allocFloor is the lowest allocation count a committed snapshot recorded
+// for one row, and the snapshot that recorded it.
+type allocFloor struct {
+	v   float64
+	src string
+}
+
+// allocFloors holds the ratchet of checks 3 and 6: per micro the lowest
+// allocs/op, per macro the lowest allocs/datagram.
+type allocFloors struct {
+	micro, datagram map[string]allocFloor
+}
+
+func lower(m map[string]allocFloor, name string, v float64, src string) {
+	if f, ok := m[name]; !ok || v < f.v {
+		m[name] = allocFloor{v, src}
+	}
+}
+
+func (f *allocFloors) add(path string, s *snapshot) {
+	for _, m := range s.Micro {
+		lower(f.micro, m.Name, float64(m.AllocsPerOp), path)
+	}
+	for _, m := range s.Macro {
+		if v, ok := m.Meta["allocs_per_datagram"]; ok {
+			lower(f.datagram, m.Name, v, path)
+		}
+	}
+}
+
+// loadFloors builds the allocation floors from the baseline and every
+// committed BENCH_N.json next to it. A fresh snapshot that is itself among
+// them changes nothing: the floor can only fail it on a lower count
+// recorded elsewhere.
+func loadFloors(basePath string, base *snapshot) (*allocFloors, error) {
+	f := &allocFloors{micro: map[string]allocFloor{}, datagram: map[string]allocFloor{}}
+	f.add(basePath, base)
+	paths, err := filepath.Glob(filepath.Join(filepath.Dir(basePath), "BENCH_[0-9]*.json"))
+	if err != nil {
+		return nil, err
+	}
+	for _, p := range paths {
+		s, err := load(p)
+		if err != nil {
+			return nil, err
+		}
+		f.add(p, s)
+	}
+	return f, nil
 }
 
 // checkSpeedup gates the parallel-simulation speedup claim on hosts with
@@ -250,7 +324,7 @@ func checkSpeedup(fresh *snapshot, min float64, fail func(string, ...any)) {
 // overlap decode shards the multicore pump must keep at least minScale of
 // the single-pump rate (on smaller hosts the scale gate self-disables — the
 // sharded pump still merges correctly there, it just cannot run faster).
-func checkPPS(base, fresh *snapshot, tol, minScale float64, fail func(string, ...any)) {
+func checkPPS(base, fresh *snapshot, floors *allocFloors, tol, minScale float64, fail func(string, ...any)) {
 	if len(fresh.Macro) == 0 {
 		if len(base.Macro) > 0 {
 			fail("baseline has %d pps macro(s) but the new snapshot has none (run benchtab with -pps)", len(base.Macro))
@@ -277,7 +351,7 @@ func checkPPS(base, fresh *snapshot, tol, minScale float64, fail func(string, ..
 		} else {
 			fmt.Printf("ok    pps %s: %.0f pkts/s (%+.1f%%)\n", b.Name, n.PPS, -100*drop)
 		}
-		checkAllocs(b, n, fail)
+		checkAllocs(n, floors, fail)
 	}
 	single, okS := freshPPS["live.pps/pump=1"]
 	if !okS {
@@ -310,19 +384,19 @@ func checkPPS(base, fresh *snapshot, tol, minScale float64, fail func(string, ..
 // timers and runtime bookkeeping is expected; a sustained climb is not.
 const allocsSlack = 0.5
 
-// checkAllocs gates the per-datagram allocation meta on macros that carry it
-// in both snapshots (schema 4 baselines have no meta — the gate self-arms on
-// the first schema 5 baseline).
-func checkAllocs(b, n macro, fail func(string, ...any)) {
-	bAllocs, bOK := b.Meta["allocs_per_datagram"]
+// checkAllocs gates a macro's per-datagram allocation meta against the
+// lowest value any committed snapshot recorded for it (schema 4 snapshots
+// have no meta — the gate arms once one committed snapshot carries it).
+func checkAllocs(n macro, floors *allocFloors, fail func(string, ...any)) {
+	fl, fOK := floors.datagram[n.Name]
 	nAllocs, nOK := n.Meta["allocs_per_datagram"]
-	if !bOK || !nOK {
+	if !fOK || !nOK {
 		return
 	}
-	if nAllocs > bAllocs+allocsSlack {
-		fail("pps %s: allocs/datagram grew %.2f -> %.2f (the batched receive path is pooled; it must not start allocating)",
-			b.Name, bAllocs, nAllocs)
+	if nAllocs > fl.v+allocsSlack {
+		fail("pps %s: allocs/datagram grew %.2f -> %.2f (floor from %s; the batched receive path is pooled, it must not start allocating)",
+			n.Name, fl.v, nAllocs, fl.src)
 	} else {
-		fmt.Printf("ok    pps %s: %.2f allocs/datagram (base %.2f)\n", b.Name, nAllocs, bAllocs)
+		fmt.Printf("ok    pps %s: %.2f allocs/datagram (floor %.2f from %s)\n", n.Name, nAllocs, fl.v, fl.src)
 	}
 }

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -86,4 +87,53 @@ func TestLoadTopLevelGarbage(t *testing.T) {
 	if _, err := load(path); err == nil {
 		t.Fatal("top-level garbage must still fail to load")
 	}
+}
+
+// TestAllocGateRatchets pins the allocation ratchet: a regression baked into
+// the newest committed snapshot must not become the baseline. BENCH_2 holds
+// 2 allocs/op where BENCH_1 held 1, so a new snapshot matching BENCH_2 still
+// fails; one back at BENCH_1's count passes. The allocs/datagram gate ratchets
+// the same way.
+func TestAllocGateRatchets(t *testing.T) {
+	dir := t.TempDir()
+	write := func(name string, allocs int, perDatagram float64) string {
+		doc := fmt.Sprintf(`{
+			"schema": 5, "seed": 1, "cpus": 1,
+			"micro": [{"name": "w", "ns_per_op": 100.0, "allocs_per_op": %d}],
+			"macro": [{"name": "live.pps/pump=1", "pps": 1e6, "meta": {"allocs_per_datagram": %g}}]
+		}`, allocs, perDatagram)
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, []byte(doc), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	write("BENCH_1.json", 1, 0)
+	base := write("BENCH_2.json", 2, 2)
+	o := options{base: base, tolerance: 0.1, minSpeedup: 1.8, ppsTol: 0.1, minPPS: 0.9}
+
+	for _, tc := range []struct {
+		name        string
+		allocs      int
+		perDatagram float64
+		want        int
+	}{
+		{"micro at newest snapshot", 2, 0, 1},
+		{"datagram at newest snapshot", 1, 2, 1},
+		{"both at the minimum", 1, 0.4, 0},
+	} {
+		fresh := filepath.Join(t.TempDir(), "BENCH_new.json")
+		doc := fmt.Sprintf(`{"schema": 5, "cpus": 1,
+			"micro": [{"name": "w", "ns_per_op": 100.0, "allocs_per_op": %d}],
+			"macro": [{"name": "live.pps/pump=1", "pps": 1e6, "meta": {"allocs_per_datagram": %g}}]}`,
+			tc.allocs, tc.perDatagram)
+		if err := os.WriteFile(fresh, []byte(doc), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		o.fresh = fresh
+		if got := run(o); got != tc.want {
+			t.Errorf("%s: exit %d, want %d", tc.name, got, tc.want)
+		}
+	}
+
 }

@@ -289,6 +289,9 @@ type Node struct {
 // submitted at this node (nanoseconds of virtual time).
 func (n *Node) WriteLatency() *stats.Histogram { return n.lat }
 
+// Base implements Replicator; *RetransmitNode inherits it by embedding.
+func (n *Node) Base() *Node { return n }
+
 // tracer returns the cluster tracer (nil when tracing is off).
 func (n *Node) tracer() *obs.Tracer { return n.sw.Engine().Tracer() }
 

@@ -51,6 +51,11 @@ type Replicator interface {
 	// committed=true on the tail acknowledgement, false when retries are
 	// exhausted.
 	Write(key uint64, val []byte, done func(committed bool))
+	// Base returns the chain node that carries the protocol state. Both
+	// backends submit writes through (*Node).Write, so a caller that holds
+	// only the interface can write through Base().Write without the value
+	// slice escaping through an interface call.
+	Base() *Node
 	// Read performs an NF read; fn receives the value (nil, false on miss).
 	Read(key uint64, fn func(val []byte, ok bool))
 	// Get returns the local replica value without protocol involvement.

@@ -167,9 +167,11 @@ func (in *Instance) NewStrongRegister(cons Consistency, cfg chain.Config) (*Stro
 // Node exposes the protocol node (controller registration, tests).
 func (r *StrongRegister) Node() chain.Replicator { return r.node }
 
-// Write submits a replicated write; done fires on commit (or failure).
+// Write submits a replicated write; done fires on commit (or failure). It
+// calls (*chain.Node).Write directly so val does not escape through the
+// Replicator interface.
 func (r *StrongRegister) Write(key uint64, val []byte, done func(committed bool)) {
-	r.node.Write(key, val, done)
+	r.node.Base().Write(key, val, done)
 }
 
 // Read reads the register under the declared consistency.

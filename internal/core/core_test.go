@@ -206,8 +206,18 @@ func TestConsistencyStrings(t *testing.T) {
 func TestHandleAccessors(t *testing.T) {
 	r := newRig(t, 1, 1)
 	in := r.ins[0]
-	if h, err := in.StrongHandle(1); err != nil || h == nil {
+	h, err := in.StrongHandle(1)
+	if err != nil || h == nil {
 		t.Fatalf("StrongHandle: %v", err)
+	}
+	committed := false
+	h.Write(7, []byte("via-handle"), func(ok bool) { committed = ok })
+	r.eng.RunFor(10 * time.Millisecond)
+	if !committed {
+		t.Fatal("write through StrongHandle not committed")
+	}
+	if v, ok := h.Node().Get(7); !ok || string(v) != "via-handle" {
+		t.Fatalf("StrongHandle replica = %q %v", v, ok)
 	}
 	if _, err := in.StrongHandle(99); err == nil {
 		t.Fatal("unknown chain handle resolved")

@@ -146,6 +146,55 @@ type lwwCell struct {
 	stamp timesync.Stamp
 }
 
+// slots is one G-counter vector in the §7 layout: one register array
+// ("column") per owner switch, indexed by row. Owners are kept sorted by
+// address, so walks over a row are canonical; every column is as long as
+// the row index.
+type slots struct {
+	owners []uint16
+	cols   [][]uint64
+}
+
+// col returns owner's column, inserting a zeroed one of length rows in
+// address order on first sight.
+func (s *slots) col(owner uint16, rows int) []uint64 {
+	i, ok := slices.BinarySearch(s.owners, owner)
+	if ok {
+		return s.cols[i]
+	}
+	c := make([]uint64, rows)
+	s.owners = slices.Insert(s.owners, i, owner)
+	s.cols = slices.Insert(s.cols, i, c)
+	return c
+}
+
+// grow appends a zero slot for a new row to every column.
+func (s *slots) grow() {
+	for i := range s.cols {
+		s.cols[i] = append(s.cols[i], 0)
+	}
+}
+
+// sum adds every owner's slot at row.
+func (s *slots) sum(row int32) uint64 {
+	var total uint64
+	for _, c := range s.cols {
+		total += c[row]
+	}
+	return total
+}
+
+// appendEntries appends an announcement for every non-zero slot at row; a
+// zero slot is a no-op at every receiver.
+func (s *slots) appendEntries(dst []wire.EWOEntry, key uint64, row int32, isDec bool) []wire.EWOEntry {
+	for i, c := range s.cols {
+		if v := c[row]; v != 0 {
+			dst = append(dst, counterEntry(key, s.owners[i], v, isDec))
+		}
+	}
+	return dst
+}
+
 // Node is the per-switch protocol instance for one EWO register array.
 type Node struct {
 	sw    *pisa.Switch
@@ -155,12 +204,14 @@ type Node struct {
 	epoch uint32
 	group []netem.Addr
 
-	// LWW state.
-	lww map[uint64]lwwCell
-	// Counter state: key -> owner switch -> slot value. inc for Counter and
-	// PNCounter, dec only for PNCounter.
-	inc map[uint64]map[uint16]uint64
-	dec map[uint64]map[uint16]uint64
+	// Row index shared by every kind: key -> row, and row -> key. Rows are
+	// never freed; keys are not bounded by Capacity.
+	rows    map[uint64]int32
+	rowKeys []uint64
+	// LWW state: one cell per row.
+	cells []lwwCell
+	// Counter state: inc for Counter and PNCounter, dec only for PNCounter.
+	inc, dec slots
 
 	// SRAM accounting vehicles (state layout per §7).
 	mem []*pisa.RegisterArray
@@ -211,6 +262,7 @@ func NewNode(sw *pisa.Switch, cfg Config) (*Node, error) {
 	n := &Node{
 		sw:    sw,
 		cfg:   cfg,
+		rows:  make(map[uint64]int32),
 		clock: timesync.NewSynced(sw.Engine(), timesync.NodeID(sw.Addr()), cfg.ClockSkew),
 		rng:   rand.New(rand.NewSource(nodeSeed(sw.Engine().Seed(), uint64(sw.Addr()), uint64(cfg.Reg)))),
 	}
@@ -224,7 +276,6 @@ func NewNode(sw *pisa.Switch, cfg Config) (*Node, error) {
 			return nil, err
 		}
 		n.mem = append(n.mem, ra)
-		n.lww = make(map[uint64]lwwCell)
 	case Counter, PNCounter:
 		// One register array per group member, each (version, value) =
 		// 16 bytes per key; PN doubles it.
@@ -237,10 +288,6 @@ func NewNode(sw *pisa.Switch, cfg Config) (*Node, error) {
 			return nil, err
 		}
 		n.mem = append(n.mem, ra)
-		n.inc = make(map[uint64]map[uint16]uint64)
-		if cfg.Kind == PNCounter {
-			n.dec = make(map[uint64]map[uint16]uint64)
-		}
 	}
 	if !cfg.SyncDisabled {
 		n.ticker = sw.PacketGen(cfg.SyncPeriod, n.syncRound)
@@ -304,7 +351,7 @@ func (n *Node) Write(key uint64, val []byte) {
 		val = val[:n.cfg.ValueWidth]
 	}
 	st := n.clock.Now()
-	n.lww[key] = lwwCell{val: append([]byte(nil), val...), stamp: st}
+	n.cells[n.row(key)] = lwwCell{val: append([]byte(nil), val...), stamp: st}
 	n.enqueue(wire.EWOEntry{Key: key, Stamp: st, Value: append([]byte(nil), val...)})
 }
 
@@ -314,20 +361,32 @@ func (n *Node) Read(key uint64) ([]byte, bool) {
 		panic("ewo: Read on counter register; use Sum")
 	}
 	n.Stats.Reads.Inc()
-	c, ok := n.lww[key]
-	return c.val, ok
+	r, ok := n.rows[key]
+	if !ok {
+		return nil, false
+	}
+	return n.cells[r].val, true
+}
+
+// row returns key's row, appending a zeroed one on first sight.
+func (n *Node) row(key uint64) int32 {
+	if r, ok := n.rows[key]; ok {
+		return r
+	}
+	r := int32(len(n.rowKeys))
+	n.rows[key] = r
+	n.rowKeys = append(n.rowKeys, key)
+	switch n.cfg.Kind {
+	case LWW:
+		n.cells = append(n.cells, lwwCell{})
+	default:
+		n.inc.grow()
+		n.dec.grow()
+	}
+	return r
 }
 
 // --- Counter operations ---
-
-func slotMap(m map[uint64]map[uint16]uint64, key uint64) map[uint16]uint64 {
-	s, ok := m[key]
-	if !ok {
-		s = make(map[uint16]uint64)
-		m[key] = s
-	}
-	return s
-}
 
 // Add increments key's counter by delta (data-plane cost, non-blocking).
 func (n *Node) Add(key uint64, delta uint64) {
@@ -335,10 +394,7 @@ func (n *Node) Add(key uint64, delta uint64) {
 		panic("ewo: Add on LWW register; use Write")
 	}
 	n.Stats.Writes.Inc()
-	self := uint16(n.sw.Addr())
-	s := slotMap(n.inc, key)
-	s[self] += delta
-	n.enqueue(counterEntry(key, self, s[self], false))
+	n.enqueue(n.bump(&n.inc, key, delta, false))
 }
 
 // Sub decrements key's counter (PNCounter only).
@@ -347,10 +403,17 @@ func (n *Node) Sub(key uint64, delta uint64) {
 		panic("ewo: Sub requires a PNCounter register")
 	}
 	n.Stats.Writes.Inc()
+	n.enqueue(n.bump(&n.dec, key, delta, true))
+}
+
+// bump adds delta to this switch's own slot of key in s and returns the
+// slot announcement.
+func (n *Node) bump(s *slots, key, delta uint64, isDec bool) wire.EWOEntry {
 	self := uint16(n.sw.Addr())
-	s := slotMap(n.dec, key)
-	s[self] += delta
-	n.enqueue(counterEntry(key, self, s[self], true))
+	r := n.row(key)
+	c := s.col(self, len(n.rowKeys))
+	c[r] += delta
+	return counterEntry(key, self, c[r], isDec)
 }
 
 // incMark and decMark are the shared, read-only Value payloads of counter
@@ -383,16 +446,16 @@ func (n *Node) Sum(key uint64) uint64 {
 		panic("ewo: Sum on LWW register; use Read")
 	}
 	n.Stats.Reads.Inc()
-	var total uint64
-	for _, v := range n.inc[key] {
-		total += v
+	r, ok := n.rows[key]
+	if !ok {
+		return 0
 	}
-	if n.cfg.Kind == PNCounter {
-		for _, v := range n.dec[key] {
-			total -= v
-		}
-	}
-	return total
+	return n.sum(r)
+}
+
+// sum is the counter value at row: increment slots minus decrement slots.
+func (n *Node) sum(row int32) uint64 {
+	return n.inc.sum(row) - n.dec.sum(row)
 }
 
 // --- replication ---
@@ -511,27 +574,29 @@ func (n *Node) Handle(from netem.Addr, msg wire.Msg) bool {
 func (n *Node) merge(e *wire.EWOEntry) {
 	switch n.cfg.Kind {
 	case LWW:
-		cur, ok := n.lww[e.Key]
-		if ok && !cur.stamp.Less(e.Stamp) {
+		r, ok := n.rows[e.Key]
+		if ok && !n.cells[r].stamp.Less(e.Stamp) {
 			n.Stats.EntriesStale.Inc()
 			return
 		}
-		n.lww[e.Key] = lwwCell{val: append([]byte(nil), e.Value...), stamp: e.Stamp}
+		if !ok {
+			r = n.row(e.Key)
+		}
+		n.cells[r] = lwwCell{val: append([]byte(nil), e.Value...), stamp: e.Stamp}
 		n.Stats.EntriesMerged.Inc()
 	case Counter, PNCounter:
-		owner := uint16(e.Stamp.Node)
-		slotVal := uint64(e.Stamp.Time)
-		m := n.inc
+		s := &n.inc
 		if len(e.Value) > 0 && e.Value[0] == 1 {
 			if n.cfg.Kind != PNCounter {
 				n.Stats.EntriesStale.Inc()
 				return
 			}
-			m = n.dec
+			s = &n.dec
 		}
-		s := slotMap(m, e.Key)
-		if slotVal > s[owner] {
-			s[owner] = slotVal
+		r := n.row(e.Key)
+		c := s.col(uint16(e.Stamp.Node), len(n.rowKeys))
+		if v := uint64(e.Stamp.Time); v > c[r] {
+			c[r] = v
 			n.Stats.EntriesMerged.Inc()
 		} else {
 			n.Stats.EntriesStale.Inc()
@@ -545,44 +610,9 @@ func (n *Node) syncRound() {
 	if len(n.group) < 2 {
 		return
 	}
-	// Refresh the key walk when exhausted.
-	if n.syncCursor >= len(n.syncKeys) {
-		n.syncKeys = n.syncKeys[:0]
-		switch n.cfg.Kind {
-		case LWW:
-			for k := range n.lww {
-				n.syncKeys = append(n.syncKeys, k)
-			}
-		default:
-			for k := range n.inc {
-				n.syncKeys = append(n.syncKeys, k)
-			}
-			for k := range n.dec {
-				if _, dup := n.inc[k]; !dup {
-					n.syncKeys = append(n.syncKeys, k)
-				}
-			}
-		}
-		// Map iteration order is runtime-randomized; it must not leak onto
-		// the wire (which keys share a sync packet decides how fast a
-		// recovering member converges), or runs stop being a pure function
-		// of the seed.
-		slices.Sort(n.syncKeys)
-		n.syncCursor = 0
-	}
-	if len(n.syncKeys) == 0 {
-		return
-	}
-	end := n.syncCursor + n.cfg.SyncEntriesPerPacket
-	if end > len(n.syncKeys) {
-		end = len(n.syncKeys)
-	}
 	u := n.getUpdate()
 	u.Sync = true
-	for _, k := range n.syncKeys[n.syncCursor:end] {
-		u.Entries = n.appendEntriesFor(u.Entries, k)
-	}
-	n.syncCursor = end
+	u.Entries = n.syncWindow(u.Entries)
 	if len(u.Entries) == 0 {
 		u.Release()
 		return
@@ -638,6 +668,25 @@ func (n *Node) syncRound() {
 	u.Release()
 }
 
+// syncWindow appends the entries of the next SyncEntriesPerPacket keys of
+// the sync walk, restarting the walk once it is exhausted.
+func (n *Node) syncWindow(dst []wire.EWOEntry) []wire.EWOEntry {
+	if n.syncCursor >= len(n.syncKeys) {
+		// Walk keys in key order, not row (first-sight) order: which keys
+		// share a sync packet decides how fast a recovering member
+		// converges, and must not depend on the order writes arrived in.
+		n.syncKeys = append(n.syncKeys[:0], n.rowKeys...)
+		slices.Sort(n.syncKeys)
+		n.syncCursor = 0
+	}
+	end := min(n.syncCursor+n.cfg.SyncEntriesPerPacket, len(n.syncKeys))
+	for _, k := range n.syncKeys[n.syncCursor:end] {
+		dst = n.appendRow(dst, n.rows[k])
+	}
+	n.syncCursor = end
+	return dst
+}
+
 // emptyUpdateSize is wire.EWOUpdate's encoding overhead: type byte + Reg +
 // From + Slot + Sync + entry count.
 const emptyUpdateSize = 1 + 2 + 2 + 2 + 1 + 2
@@ -661,74 +710,33 @@ func (n *Node) sendSync(u *wire.EWOUpdate, target netem.Addr) {
 	u.Release()
 }
 
-// appendEntriesFor appends the sync entries describing key's full local
-// state — for counters this gossips every known slot, so updates survive
-// the failure of their original writer (§6.3: "any switch that did receive
-// the update can then synchronize the other switches").
-func (n *Node) appendEntriesFor(dst []wire.EWOEntry, key uint64) []wire.EWOEntry {
-	switch n.cfg.Kind {
-	case LWW:
-		c, ok := n.lww[key]
-		if !ok {
-			return dst
-		}
+// appendRow appends the sync entries describing row's full local state —
+// for counters this gossips every non-zero slot in owner order, so updates
+// survive the failure of their original writer (§6.3: "any switch that did
+// receive the update can then synchronize the other switches").
+func (n *Node) appendRow(dst []wire.EWOEntry, row int32) []wire.EWOEntry {
+	key := n.rowKeys[row]
+	if n.cfg.Kind == LWW {
+		c := &n.cells[row]
 		return append(dst, wire.EWOEntry{Key: key, Stamp: c.stamp, Value: c.val})
-	default:
-		for owner, v := range n.inc[key] {
-			dst = append(dst, counterEntry(key, owner, v, false))
-		}
-		for owner, v := range n.dec[key] {
-			dst = append(dst, counterEntry(key, owner, v, true))
-		}
-		return dst
 	}
+	dst = n.inc.appendEntries(dst, key, row, false)
+	return n.dec.appendEntries(dst, key, row, true)
 }
 
 // Keys returns the number of locally known keys.
-func (n *Node) Keys() int {
-	if n.cfg.Kind == LWW {
-		return len(n.lww)
-	}
-	keys := len(n.inc)
-	for k := range n.dec {
-		if _, dup := n.inc[k]; !dup {
-			keys++
-		}
-	}
-	return keys
-}
+func (n *Node) Keys() int { return len(n.rowKeys) }
 
 // StateDigest summarizes local state for convergence checks: for LWW a map
 // of key to stamp; for counters a map of key to summed value.
 func (n *Node) StateDigest() map[uint64]string {
-	out := make(map[uint64]string)
-	switch n.cfg.Kind {
-	case LWW:
-		for k, c := range n.lww {
-			out[k] = fmt.Sprintf("%v:%x", c.stamp, c.val)
-		}
-	default:
-		for k := range n.inc {
-			out[k] = fmt.Sprintf("%d", n.sumNoStats(k))
-		}
-		for k := range n.dec {
-			if _, dup := n.inc[k]; !dup {
-				out[k] = fmt.Sprintf("%d", n.sumNoStats(k))
-			}
+	out := make(map[uint64]string, len(n.rowKeys))
+	for r, k := range n.rowKeys {
+		if n.cfg.Kind == LWW {
+			out[k] = fmt.Sprintf("%v:%x", n.cells[r].stamp, n.cells[r].val)
+		} else {
+			out[k] = fmt.Sprintf("%d", n.sum(int32(r)))
 		}
 	}
 	return out
-}
-
-func (n *Node) sumNoStats(key uint64) uint64 {
-	var total uint64
-	for _, v := range n.inc[key] {
-		total += v
-	}
-	if n.cfg.Kind == PNCounter {
-		for _, v := range n.dec[key] {
-			total -= v
-		}
-	}
-	return total
 }

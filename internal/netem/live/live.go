@@ -566,19 +566,18 @@ func (n *Node) Close() error {
 func (n *Node) readLoop() {
 	defer n.wg.Done()
 	buf := make([]byte, 64<<10)
+	// No read deadline: Close closes the socket, which unblocks the read,
+	// and re-arming a deadline per datagram costs a timer modify and a
+	// clock read on every receive.
 	for {
-		n.conn.SetReadDeadline(time.Now().Add(200 * time.Millisecond))
 		sz, src, err := n.conn.ReadFromUDPAddrPort(buf)
+		if err != nil {
+			return
+		}
 		select {
 		case <-n.closed:
 			return
 		default:
-		}
-		if err != nil {
-			if ne, ok := err.(net.Error); ok && ne.Timeout() {
-				continue
-			}
-			return
 		}
 		n.processDatagram(src, buf[:sz])
 	}

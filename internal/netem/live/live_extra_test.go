@@ -36,6 +36,27 @@ func TestCloseConcurrent(t *testing.T) {
 	}
 }
 
+// TestCloseUnblocksIdleReader: the read loop runs without a read deadline,
+// so Close must return promptly while the reader is blocked on a socket
+// that never receives anything — closing the socket is what wakes it.
+func TestCloseUnblocksIdleReader(t *testing.T) {
+	n, err := Listen(1, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(20 * time.Millisecond) // let the reader block in the read
+	done := make(chan error, 1)
+	go func() { done <- n.Close() }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("close: %v", err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("Close did not return while the reader was blocked on an idle socket")
+	}
+}
+
 // TestSendZeroAlloc pins the unshaped send path at 0 allocs/op warm
 // (DESIGN.md §6 pooling invariants). The peer endpoint is a closed port so
 // no receiver goroutine allocates during measurement.
